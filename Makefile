@@ -1,12 +1,12 @@
 GO ?= go
 
 # One git consultation per make invocation: every binary built through
-# this Makefile carries the commit identity, so manifests and bench
-# metas record provenance without shelling out to git at run time.
+# this Makefile carries the commit identity, so manifests record
+# provenance without shelling out to git at run time.
 COMMIT := $(shell sh scripts/version.sh)
 LDFLAGS = -X pargraph/internal/cmdutil.Commit=$(COMMIT)
 
-.PHONY: build test race vet bench-simulators check-host-scaling bench-sweeps check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve cache-clean verify
+.PHONY: build test race vet check-host-scaling check-sweep-scaling check-shard-equivalence check-reproducibility check-result-cache check-serve cache-clean verify
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -24,21 +24,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Regenerate BENCH_simulators.json (host ns/op for the simulator engines
-# and the SetHostWorkers scaling sweep).
-bench-simulators:
-	sh scripts/bench_simulators.sh
-
 # Fail if workers=4 replay is >25% slower than workers=1 (the inverted
 # scaling shape the worker cap and pooled dispatch fixed; the band allows
 # for shared-machine benchmark noise).
 check-host-scaling:
 	sh scripts/check_host_scaling.sh
-
-# Regenerate BENCH_sweeps.json (sweep wall-clock for the experiment
-# scheduler's -jobs setting on the E1 and E8 harness sweeps).
-bench-sweeps:
-	sh scripts/bench_sweeps.sh
 
 # Fail if the E1 sweep at jobs=4 is not >= 1.8x faster than jobs=1
 # (skips on hosts with fewer than 4 cores, where the scheduler caps

@@ -34,6 +34,10 @@ import (
 	"pargraph/internal/treecon"
 )
 
+// seqEnv is a fresh one-run Env for each benchmarked sweep: one cell at
+// a time, each machine replaying regions on one host goroutine.
+func seqEnv() *harness.Env { return &harness.Env{Jobs: 1, HostWorkers: 1} }
+
 const (
 	benchListN  = 1 << 17
 	benchGraphN = 1 << 13
@@ -83,7 +87,7 @@ func BenchmarkTable1(b *testing.B) {
 	p.GraphM = 20 * benchGraphN
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunTable1(p)
+		res := seqEnv().RunTable1(p)
 		util = res.Rows[0].Utilization[len(res.Rows[0].Utilization)-1]
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -99,11 +103,11 @@ func BenchmarkSummary(b *testing.B) {
 	f2p.EdgeFactors = []int{4, 20}
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		f1, err := harness.RunFig1(f1p)
+		f1, err := seqEnv().RunFig1(f1p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f2, err := harness.RunFig2(f2p)
+		f2, err := seqEnv().RunFig2(f2p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +125,7 @@ func BenchmarkSummary(b *testing.B) {
 func BenchmarkSaturation(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunSaturation([]int{benchProcs}, []int{10000}, 3)
+		res := seqEnv().RunSaturation([]int{benchProcs}, []int{10000}, 3)
 		util = res.Rows[0].Utilization
 	}
 	b.ReportMetric(util*100, "util_%")
@@ -131,31 +135,31 @@ func BenchmarkSaturation(b *testing.B) {
 
 func BenchmarkAblationScheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblScheduling(1<<15, benchProcs, 7)
+		seqEnv().RunAblScheduling(1<<15, benchProcs, 7)
 	}
 }
 
 func BenchmarkAblationHashing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblHashing(1<<16, benchProcs)
+		seqEnv().RunAblHashing(1<<16, benchProcs)
 	}
 }
 
 func BenchmarkAblationSublists(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5)
+		seqEnv().RunAblSublists(1<<15, benchProcs, []int{1, 8, 64}, 5)
 	}
 }
 
 func BenchmarkAblationShortcut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblShortcut(1<<11, 8, benchProcs, 9)
+		seqEnv().RunAblShortcut(1<<11, 8, benchProcs, 9)
 	}
 }
 
 func BenchmarkAblationCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblCache(1<<17, 1, []int{1, 4, 16}, 11)
+		seqEnv().RunAblCache(1<<17, 1, []int{1, 4, 16}, 11)
 	}
 }
 
@@ -237,9 +241,9 @@ func BenchmarkSimulatorSMP(b *testing.B) {
 	}
 }
 
-// The coloring engine pair mirrors the list-ranking pair above so the
-// third workload shows up in BENCH_simulators.json: several short
-// sharded regions per round instead of a few long walks.
+// The coloring engine pair mirrors the list-ranking pair above for the
+// third workload: several short sharded regions per round instead of a
+// few long walks.
 func BenchmarkSimulatorColoringMTA(b *testing.B) {
 	g := graph.RandomGnm(benchGraphN, 8*benchGraphN, 1)
 	b.ResetTimer()
@@ -266,10 +270,11 @@ func BenchmarkSimulatorColoringSMP(b *testing.B) {
 
 // BenchmarkHostScaling sweeps the host worker count over the two
 // simulator engines on a body-heavy workload (a 2^20-node random list:
-// the walk regions dominate and shard well). scripts/bench_simulators.sh
-// turns the output into BENCH_simulators.json. Replay caps the worker
-// count at GOMAXPROCS, so on a machine with fewer cores than the swept
-// count the curve goes flat instead of inverting.
+// the walk regions dominate and shard well);
+// scripts/check_host_scaling.sh guards the workers=4/workers=1 ratio.
+// Replay caps the worker count at GOMAXPROCS, so on a machine with
+// fewer cores than the swept count the curve goes flat instead of
+// inverting.
 func BenchmarkHostScaling(b *testing.B) {
 	const n = 1 << 20
 	l := list.New(n, list.Random, 1)
@@ -304,10 +309,10 @@ func BenchmarkHostScaling(b *testing.B) {
 // BenchmarkSweepScaling sweeps the experiment scheduler's Jobs setting
 // over two full harness sweeps — E1 (Fig. 1 list ranking, the issue's
 // acceptance workload) and E8 (speculative coloring) — measuring sweep
-// wall-clock as independent cells run concurrently.
-// scripts/bench_sweeps.sh turns the output into BENCH_sweeps.json. The
-// scheduler caps jobs at GOMAXPROCS, so on a machine with fewer cores
-// than the swept count the curve goes flat instead of inverting.
+// wall-clock as independent cells run concurrently;
+// scripts/check_sweep_scaling.sh guards the fig1 curve. The scheduler
+// caps jobs at GOMAXPROCS, so on a machine with fewer cores than the
+// swept count the curve goes flat instead of inverting.
 func BenchmarkSweepScaling(b *testing.B) {
 	fig1 := harness.DefaultFig1(harness.Small)
 	coloringP := harness.DefaultColoring(harness.Small)
@@ -315,21 +320,17 @@ func BenchmarkSweepScaling(b *testing.B) {
 	if ncpu := runtime.NumCPU(); ncpu != 1 && ncpu != 2 && ncpu != 4 && ncpu != 8 {
 		jobs = append(jobs, ncpu)
 	}
-	oldJobs := harness.Jobs
-	defer func() { harness.Jobs = oldJobs }()
 	for _, j := range jobs {
 		b.Run(fmt.Sprintf("fig1/jobs=%d", j), func(b *testing.B) {
-			harness.Jobs = j
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.RunFig1(fig1); err != nil {
+				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunFig1(fig1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("coloring/jobs=%d", j), func(b *testing.B) {
-			harness.Jobs = j
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.RunColoring(coloringP); err != nil {
+				if _, err := (&harness.Env{Jobs: j, HostWorkers: 1}).RunColoring(coloringP); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,13 +340,15 @@ func BenchmarkSweepScaling(b *testing.B) {
 
 // BenchmarkWarmSweep measures the E1 Fig. 1 sweep against the result
 // cache, cold (the store is empty: every cell simulates and is stored)
-// and warm (every cell replays from the store without simulating).
-// scripts/bench_sweeps.sh includes both in BENCH_sweeps.json; the
+// and warm (every cell replays from the store without simulating). The
 // cold/warm ratio is the result cache's whole value proposition.
 func BenchmarkWarmSweep(b *testing.B) {
 	fig1 := harness.DefaultFig1(harness.Small)
-	saved := harness.ResultStore
-	defer func() { harness.ResultStore = saved }()
+	storeEnv := func(store *diskcache.Store) *harness.Env {
+		env := seqEnv()
+		env.ResultStore = store
+		return env
+	}
 	b.Run("fig1/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -353,9 +356,8 @@ func BenchmarkWarmSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			harness.ResultStore = store
 			b.StartTimer()
-			if _, err := harness.RunFig1(fig1); err != nil {
+			if _, err := storeEnv(store).RunFig1(fig1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -365,13 +367,12 @@ func BenchmarkWarmSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		harness.ResultStore = store
-		if _, err := harness.RunFig1(fig1); err != nil {
+		if _, err := storeEnv(store).RunFig1(fig1); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := harness.RunFig1(fig1); err != nil {
+			if _, err := storeEnv(store).RunFig1(fig1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -385,8 +386,6 @@ func BenchmarkWarmSweep(b *testing.B) {
 // cell scheduler pinned to jobs=1, so any speedup between conc=1 and
 // conc=4 comes purely from overlapping whole jobs, not from cells
 // inside one job. No cache directory is attached: every run simulates.
-// scripts/bench_sweeps.sh includes the conc=4/conc=1 ratio in
-// BENCH_sweeps.json.
 func BenchmarkConcurrentJobs(b *testing.B) {
 	b.Setenv(cmdutil.CacheEnv, "")
 	const specText = "[run]\ncommand = \"figures\"\nscale = \"small\"\njobs = 1\n" +
@@ -436,7 +435,7 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 func BenchmarkStreamsSweep(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunStreams(1<<15, 1, []int{40, 80}, 3)
+		res := seqEnv().RunStreams(1<<15, 1, []int{40, 80}, 3)
 		util = res.Rows[1].Utilization
 	}
 	b.ReportMetric(util*100, "util80_%")
@@ -445,7 +444,7 @@ func BenchmarkStreamsSweep(b *testing.B) {
 func BenchmarkTreeEval(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTreeEval([]int{1 << 12}, benchProcs, 3)
+		res, err := seqEnv().RunTreeEval([]int{1 << 12}, benchProcs, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,13 +455,13 @@ func BenchmarkTreeEval(b *testing.B) {
 
 func BenchmarkAblationAssociativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblAssociativity(1<<15, 4, []int{1, 4}, 7)
+		seqEnv().RunAblAssociativity(1<<15, 4, []int{1, 4}, 7)
 	}
 }
 
 func BenchmarkAblationReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.RunAblReduction(1<<15, benchProcs)
+		seqEnv().RunAblReduction(1<<15, benchProcs)
 	}
 }
 

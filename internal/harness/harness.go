@@ -5,8 +5,8 @@
 //
 // Each experiment has a Params struct with scaled defaults (Small runs
 // in CI seconds; Paper approaches the paper's problem sizes), a Run
-// function returning typed results, and a text formatter that prints the
-// same rows/series the paper reports.
+// method on *Env returning typed results, and a text formatter that
+// prints the same rows/series the paper reports.
 package harness
 
 import (

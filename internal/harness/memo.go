@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pargraph/internal/diskcache"
 	"pargraph/internal/sim"
 	"pargraph/internal/sweep"
 	"pargraph/internal/trace"
@@ -33,22 +32,6 @@ import (
 //   - Any undecodable entry is a miss; the cell recomputes and
 //     overwrites. Bumping sim.CostSchemaVersion (cost semantics) or
 //     ResultSchema (encoding) strands all old entries at once.
-
-// ResultStore, when non-nil, memoizes whole sweep-cell results of
-// package-level runs in a persistent content-addressed store, alongside
-// CacheStore's inputs. Nil disables result memoization (every cell
-// simulates).
-//
-// Deprecated: set Env.ResultStore; the global configures only the
-// package-level shims.
-var ResultStore *diskcache.Store
-
-// ResultHook, when non-nil, observes every memoized cell decision of a
-// package-level run: the cell's result key and whether it was served
-// from the store (hit) or simulated (miss).
-//
-// Deprecated: set Env.ResultHook.
-var ResultHook func(key string, hit bool)
 
 // ResultSchema is the diskcache schema salt for memoized results. Bump
 // it whenever the binary encoding of any result type changes (see the

@@ -27,20 +27,34 @@ func shapeSeconds(t *testing.T, machine string, lay list.Layout) float64 {
 	l := list.New(n, lay, 7)
 	switch machine {
 	case "mta":
-		m := newMTA(mta.DefaultConfig(procs))
+		m := serialMTA(procs)
 		rank := listrank.RankMTA(l, m, n/listrank.DefaultNodesPerWalk, sim.SchedDynamic)
 		if err := l.VerifyRanks(rank); err != nil {
 			t.Fatal(err)
 		}
 		return m.Seconds()
 	default:
-		m := newSMP(smp.DefaultConfig(procs))
+		m := serialSMP(procs)
 		rank := listrank.RankSMP(l, m, 8*procs, 7)
 		if err := l.VerifyRanks(rank); err != nil {
 			t.Fatal(err)
 		}
 		return m.Seconds()
 	}
+}
+
+// serialMTA and serialSMP build machines that replay regions on one
+// host goroutine; any worker count yields the same simulated seconds.
+func serialMTA(procs int) *mta.Machine {
+	m := mta.New(mta.DefaultConfig(procs))
+	m.SetHostWorkers(1)
+	return m
+}
+
+func serialSMP(procs int) *smp.Machine {
+	m := smp.New(smp.DefaultConfig(procs))
+	m.SetHostWorkers(1)
+	return m
 }
 
 func TestShapeHeadlineRatios(t *testing.T) {
@@ -73,12 +87,12 @@ func TestShapeConnectedComponents(t *testing.T) {
 	g := graph.RandomGnm(nv, 8*nv, 7)
 	want := concomp.UnionFind(g)
 
-	mm := newMTA(mta.DefaultConfig(procs))
+	mm := serialMTA(procs)
 	got := concomp.LabelMTA(g, mm, sim.SchedDynamic)
 	if !graph.SameComponents(want, got) {
 		t.Fatal("LabelMTA: wrong components")
 	}
-	sm := newSMP(smp.DefaultConfig(procs))
+	sm := serialSMP(procs)
 	got = concomp.LabelSMP(g, sm)
 	if !graph.SameComponents(want, got) {
 		t.Fatal("LabelSMP: wrong components")

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"pargraph/internal/diskcache"
 	"pargraph/internal/sweep"
 	"pargraph/internal/trace"
 )
@@ -29,22 +28,6 @@ import (
 // read-only — so a merged report is byte-identical to an unsharded run,
 // the same determinism contract the in-process scheduler pins for any
 // -jobs value.
-
-// Shard restricts every package-level Run* sweep to the cells an i-of-N
-// shard owns. The zero value (and any Count < 2) runs everything.
-//
-// Deprecated: set Env.Shard; the global configures only the
-// package-level shims.
-var Shard sweep.Shard
-
-// CacheStore, when non-nil, backs every package-level sweep's input
-// cache with a persistent content-addressed store (see
-// internal/diskcache and sweep.Cache.Disk), so generated workloads and
-// reference answers survive across runs and are shared between shard
-// processes. Nil keeps inputs in-memory and per-process.
-//
-// Deprecated: set Env.CacheStore.
-var CacheStore *diskcache.Store
 
 // InputSchema is the diskcache schema salt for harness inputs. Bump it
 // whenever the meaning of a cache key or the encoding of a cached value
@@ -99,12 +82,6 @@ func (l *PartialTraceLog) Take() []CellTrace {
 	defer l.mu.Unlock()
 	return l.cells
 }
-
-// PartialTraces, when non-nil, makes every package-level sweep record
-// per-cell traces into it for inclusion in a shard partial.
-//
-// Deprecated: set Env.PartialTraces.
-var PartialTraces *PartialTraceLog
 
 // ProfilePartial is a shard's slice of a profile run: the parameters
 // (identical in every shard) and the zero-slotted per-machine runs. The

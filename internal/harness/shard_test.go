@@ -19,14 +19,10 @@ import (
 	"pargraph/internal/trace"
 )
 
-// withShard runs f under the given shard/trace-log/cache globals,
-// restoring the previous values afterwards.
-func withShard(t *testing.T, sh sweep.Shard, log *PartialTraceLog, store *diskcache.Store, f func()) {
-	t.Helper()
-	oldShard, oldLog, oldStore := Shard, PartialTraces, CacheStore
-	Shard, PartialTraces, CacheStore = sh, log, store
-	defer func() { Shard, PartialTraces, CacheStore = oldShard, oldLog, oldStore }()
-	f()
+// shardEnv is the one-run Env every test here executes under: the
+// sequential defaults plus the given shard, trace log and input cache.
+func shardEnv(sh sweep.Shard, log *PartialTraceLog, store *diskcache.Store) *Env {
+	return &Env{Jobs: 1, HostWorkers: 1, Shard: sh, PartialTraces: log, CacheStore: store}
 }
 
 // Small parameter sets so each shard run stays fast; every experiment
@@ -61,20 +57,20 @@ func shardColoringParams() ColoringParams {
 // runSuite executes the four-experiment suite into a report. The same
 // function serves the unsharded baseline and every shard, so any
 // divergence is the sharding's fault, not the parameters'.
-func runSuite(t *testing.T) *Report {
+func runSuite(t *testing.T, env *Env) *Report {
 	t.Helper()
 	rep := &Report{}
-	f1, err := RunFig1(shardFig1Params())
+	f1, err := env.RunFig1(shardFig1Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := RunFig2(shardFig2Params())
+	f2, err := env.RunFig2(shardFig2Params())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.Fig1, rep.Fig2 = f1, f2
-	rep.Table1 = RunTable1(shardTable1Params())
-	col, err := RunColoring(shardColoringParams())
+	rep.Table1 = env.RunTable1(shardTable1Params())
+	col, err := env.RunColoring(shardColoringParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +117,10 @@ func chromeTrace(t *testing.T, rec *trace.Recorder) []byte {
 // and the merge-time summary equals the unsharded Summarize.
 func TestShardMergeByteIdentical(t *testing.T) {
 	// Unsharded baseline, tracing into a sink as cmd/figures -trace does.
-	var baseline *Report
 	baseRec := &trace.Recorder{}
-	withShard(t, sweep.Shard{}, nil, nil, func() {
-		old := TraceSink
-		TraceSink = baseRec
-		defer func() { TraceSink = old }()
-		baseline = runSuite(t)
-	})
+	baseEnv := shardEnv(sweep.Shard{}, nil, nil)
+	baseEnv.TraceSink = baseRec
+	baseline := runSuite(t, baseEnv)
 	sum, err := Summarize(baseline.Fig1, baseline.Fig2)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +138,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		for idx := 0; idx < count; idx++ {
 			sh := sweep.Shard{Index: idx, Count: count}
 			tlog := &PartialTraceLog{}
-			var rep *Report
-			withShard(t, sh, tlog, nil, func() { rep = runSuite(t) })
+			rep := runSuite(t, shardEnv(sh, tlog, nil))
 			parts = append(parts, roundTrip(t, &Partial{
 				Schema: PartialSchema, Shard: sh, Summary: true,
 				Report: rep, Trace: tlog.Take(),
@@ -181,30 +172,24 @@ func TestShardMergeByteIdentical(t *testing.T) {
 func TestShardProfileMerge(t *testing.T) {
 	params := ProfileParams{Kernel: "fig1", Machine: "both", N: 1 << 10, Procs: 2, Layout: list.Random, Seed: 0x33}
 
-	var base *ProfileResult
-	withShard(t, sweep.Shard{}, nil, nil, func() {
-		var err error
-		base, err = RunProfile(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	base, err := shardEnv(sweep.Shard{}, nil, nil).RunProfile(params)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var parts []*Partial
 	for idx := 0; idx < 2; idx++ {
 		sh := sweep.Shard{Index: idx, Count: 2}
 		tlog := &PartialTraceLog{}
-		withShard(t, sh, tlog, nil, func() {
-			res, err := RunProfile(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, roundTrip(t, &Partial{
-				Schema: PartialSchema, Shard: sh,
-				Profile: &ProfilePartial{Params: res.Params, Runs: res.Runs},
-				Trace:   tlog.Take(),
-			}))
-		})
+		res, err := shardEnv(sh, tlog, nil).RunProfile(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, roundTrip(t, &Partial{
+			Schema: PartialSchema, Shard: sh,
+			Profile: &ProfilePartial{Params: res.Params, Runs: res.Runs},
+			Trace:   tlog.Take(),
+		}))
 	}
 	m, err := MergePartials(parts)
 	if err != nil {
@@ -239,15 +224,11 @@ func TestShardProfileMerge(t *testing.T) {
 func TestWarmCacheSkipsGeneration(t *testing.T) {
 	dir := t.TempDir()
 	runFig2 := func(store *diskcache.Store) []byte {
-		var rep Report
-		withShard(t, sweep.Shard{}, nil, store, func() {
-			res, err := RunFig2(shardFig2Params())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep.Fig2 = res
-		})
-		return reportJSON(t, &rep)
+		res, err := shardEnv(sweep.Shard{}, nil, store).RunFig2(shardFig2Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reportJSON(t, &Report{Fig2: res})
 	}
 
 	cold, err := diskcache.Open(dir, InputSchema)

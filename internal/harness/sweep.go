@@ -10,32 +10,6 @@ import (
 	"pargraph/internal/trace"
 )
 
-// Jobs is how many experiment cells every package-level Run* sweep
-// executes concurrently (see internal/sweep). The default 1 runs cells
-// sequentially; any value yields bit-identical results, traces
-// included, because each cell owns its machines, inputs are shared
-// read-only through a single-flight cache, and outputs land in index
-// slots assembled in sweep order. It composes with HostWorkers, which
-// stays per-cell (within-region replay).
-//
-// Deprecated: set Env.Jobs; the global configures only the
-// package-level shims and cannot serve concurrent runs.
-var Jobs = 1
-
-// Interrupt, when non-nil, cancels in-flight package-level sweeps: once
-// it is done, sweeps stop dispatching new cells and return its cause (a
-// real cell error still wins the report).
-//
-// Deprecated: set Env.Interrupt.
-var Interrupt context.Context
-
-// InputHook, when non-nil, observes every input a package-level sweep's
-// cache resolves (see sweep.Cache.Hook): once per key, with the
-// serialized content.
-//
-// Deprecated: set Env.InputHook.
-var InputHook func(key string, data []byte)
-
 // Cell is one scheduled experiment cell's view of its run: it hands out
 // pooled machines (leased from the Env, Reset between borrows, wired to
 // the Env's HostWorkers and, when tracing, to the cell's private

@@ -178,9 +178,9 @@ const (
 	// (SetHostWorkers(0)). Measured on the experiment kernels, regions
 	// below a few tens of thousands of iterations lose more to
 	// fork/join dispatch and partial-sum merging than sharding saves —
-	// the mid-size sweeps in BENCH_simulators.json ran ~0.9x at
-	// workers=2 — so auto mode keeps them on the serial path and only
-	// shards clearly profitable regions.
+	// the mid-size host-scaling sweeps ran ~0.9x at workers=2 — so auto
+	// mode keeps them on the serial path and only shards clearly
+	// profitable regions.
 	autoShardMinN = 1 << 15
 )
 

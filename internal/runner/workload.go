@@ -163,27 +163,127 @@ func (rc *runCtx) traceArtifacts(rec *trace.Recorder) error {
 	return nil
 }
 
-// runColoring is cmd/coloring's execution body.
+// simulate is the one path every simulated single-run cell takes: body
+// renders the cell's stdout into buf, recording into rec (nil unless
+// the spec asked for a trace or attribution artifact); the result cache
+// memoizes the bytes under cellCfg and inputs, whose references the
+// caller has already resolved; then the trace artifacts and stdout are
+// written.
+func (rc *runCtx) simulate(cellCfg string, inputs []string,
+	body func(buf *bytes.Buffer, rec *trace.Recorder) error) error {
+	var rec *trace.Recorder
+	if rc.sp.Output.Trace != "" || rc.sp.Output.Attr != "" {
+		rec = &trace.Recorder{}
+	}
+	out, err := rc.memoWorkload(cellCfg, inputs, rec, func() ([]byte, error) {
+		var buf bytes.Buffer
+		if err := body(&buf, rec); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	})
+	if err != nil {
+		return err
+	}
+	if err := rc.traceArtifacts(rec); err != nil {
+		return err
+	}
+	return rc.finish(out, true)
+}
+
+// finish writes a workload's stdout and records it in the manifest.
+// Output that is not deterministic — host kernels print wall clock,
+// which no manifest can promise to reproduce — is only kept for a
+// collected run (a served job's client still wants it).
+func (rc *runCtx) finish(out []byte, deterministic bool) error {
+	if _, err := rc.o.Stdout.Write(out); err != nil {
+		return err
+	}
+	if deterministic {
+		rc.record("stdout", "", out)
+	} else {
+		rc.keep("stdout", "", out)
+	}
+	return nil
+}
+
+// newMTA builds the workload's MTA machine: the spec's processor count,
+// the run's host workers, the per-region trace when -trace asked for
+// it, and rec as the event sink when recording.
+func (rc *runCtx) newMTA(rec *trace.Recorder) *mta.Machine {
+	m := mta.New(mta.DefaultConfig(rc.sp.Workload.Procs))
+	m.SetHostWorkers(rc.env.HostWorkers)
+	if rc.o.RegionTrace {
+		m.EnableTrace()
+	}
+	if rec != nil {
+		m.SetSink(rec)
+	}
+	return m
+}
+
+// newSMP is newMTA for the SMP machine.
+func (rc *runCtx) newSMP(rec *trace.Recorder) *smp.Machine {
+	m := smp.New(smp.DefaultConfig(rc.sp.Workload.Procs))
+	m.SetHostWorkers(rc.env.HostWorkers)
+	if rc.o.RegionTrace {
+		m.EnableTrace()
+	}
+	if rec != nil {
+		m.SetSink(rec)
+	}
+	return m
+}
+
+// writeSMPRefs writes an SMP run's memory-hierarchy line: total
+// references, the share served by each level, and the barrier count.
+func writeSMPRefs(buf *bytes.Buffer, st smp.Stats) {
+	total := st.L1Hits + st.L2Hits + st.Misses
+	fmt.Fprintf(buf, "refs=%d  L1 %.1f%%  L2 %.1f%%  mem %.1f%%  barriers=%d\n",
+		total,
+		100*float64(st.L1Hits)/float64(total),
+		100*float64(st.L2Hits)/float64(total),
+		100*float64(st.Misses)/float64(total),
+		st.Barriers)
+}
+
+// writeGraphMTA and writeGraphSMP write the machine summary the graph
+// kernels (coloring, concomp) share; list ranking prints its own.
+func writeGraphMTA(buf *bytes.Buffer, name string, m *mta.Machine) {
+	st := m.Stats()
+	fmt.Fprintf(buf, "machine=%s p=%d\n", name, m.Config().Procs)
+	fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles)\n", m.Seconds(), m.Cycles())
+	fmt.Fprintf(buf, "utilization: %.1f%%  refs=%d regions=%d barriers=%d\n",
+		m.Utilization()*100, st.Refs, st.Regions, st.Barriers)
+}
+
+func writeGraphSMP(buf *bytes.Buffer, m *smp.Machine) {
+	fmt.Fprintf(buf, "machine=SMP p=%d\n", m.Config().Procs)
+	fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles)\n", m.Seconds(), m.Cycles())
+	writeSMPRefs(buf, m.Stats())
+}
+
+// schedOf maps the workload's sched name to the region scheduler.
+func schedOf(w *spec.Workload) sim.Sched {
+	if w.Sched == "block" {
+		return sim.SchedBlock
+	}
+	return sim.SchedDynamic
+}
+
+// runColoring is cmd/coloring's execution body. Every machine's stdout
+// is deterministic, so every run records it.
 func (rc *runCtx) runColoring() error {
-	sp, o := rc.sp, rc.o
+	sp := rc.sp
 	w := &sp.Workload
 	cache := rc.workloadCache()
 
-	sched := sim.SchedDynamic
-	if w.Sched == "block" {
-		sched = sim.SchedBlock
-	}
 	gKey, g, err := buildGraph(cache, w, sp.Run.Seed)
 	if err != nil {
 		return err
 	}
 
 	header := fmt.Sprintf("graph: %s n=%d m=%d maxdeg=%d\n", w.Gen, g.N, g.M(), g.MaxDegree())
-
-	var rec *trace.Recorder
-	if sp.Output.Trace != "" || sp.Output.Attr != "" {
-		rec = &trace.Recorder{}
-	}
 	printStats := func(buf *bytes.Buffer, st coloring.Stats) {
 		parts := make([]string, len(st.Conflicts))
 		for i, c := range st.Conflicts {
@@ -221,7 +321,6 @@ func (rc *runCtx) runColoring() error {
 		return nil
 	}
 
-	var out []byte
 	switch w.Machine {
 	case "mta", "smp":
 		inputs := []string{gKey}
@@ -234,74 +333,41 @@ func (rc *runCtx) runColoring() error {
 			}
 			inputs = append(inputs, sweep.SpecRefKey(gKey))
 		}
-		out, err = rc.memoWorkload(
+		return rc.simulate(
 			fmt.Sprintf("wl/coloring/%s/p=%d/sched=%s/verify=%t", w.Machine, w.Procs, w.Sched, w.Verify),
-			inputs, rec, func() ([]byte, error) {
-				var buf bytes.Buffer
+			inputs, func(buf *bytes.Buffer, rec *trace.Recorder) error {
 				buf.WriteString(header)
 				var color []int32
 				var st coloring.Stats
 				if w.Machine == "mta" {
-					mm := mta.New(mta.DefaultConfig(w.Procs))
-					mm.SetHostWorkers(sp.Run.Workers)
-					if rec != nil {
-						mm.SetSink(rec)
-					}
-					color, st = coloring.ColorMTA(g, mm, sched)
-					mst := mm.Stats()
-					fmt.Fprintf(&buf, "machine=MTA p=%d\n", w.Procs)
-					fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles)\n", mm.Seconds(), mm.Cycles())
-					fmt.Fprintf(&buf, "utilization: %.1f%%  refs=%d regions=%d barriers=%d\n",
-						mm.Utilization()*100, mst.Refs, mst.Regions, mst.Barriers)
+					m := rc.newMTA(rec)
+					color, st = coloring.ColorMTA(g, m, schedOf(w))
+					writeGraphMTA(buf, "MTA", m)
 				} else {
-					sm := smp.New(smp.DefaultConfig(w.Procs))
-					sm.SetHostWorkers(sp.Run.Workers)
-					if rec != nil {
-						sm.SetSink(rec)
-					}
-					color, st = coloring.ColorSMP(g, sm)
-					sst := sm.Stats()
-					total := sst.L1Hits + sst.L2Hits + sst.Misses
-					fmt.Fprintf(&buf, "machine=SMP p=%d\n", w.Procs)
-					fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles)\n", sm.Seconds(), sm.Cycles())
-					fmt.Fprintf(&buf, "refs=%d  L1 %.1f%%  L2 %.1f%%  mem %.1f%%  barriers=%d\n",
-						total,
-						100*float64(sst.L1Hits)/float64(total),
-						100*float64(sst.L2Hits)/float64(total),
-						100*float64(sst.Misses)/float64(total),
-						sst.Barriers)
+					m := rc.newSMP(rec)
+					color, st = coloring.ColorSMP(g, m)
+					writeGraphSMP(buf, m)
 				}
-				printStats(&buf, st)
+				printStats(buf, st)
 				if w.Verify {
 					if err := checkRef(color); err != nil {
-						return nil, err
+						return err
 					}
 				}
-				if err := validate(&buf, color); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
+				return validate(buf, color)
 			})
-		if err != nil {
-			return err
-		}
-		if err := rc.traceArtifacts(rec); err != nil {
-			return err
-		}
-	case "spec":
-		var buf bytes.Buffer
-		buf.WriteString(header)
-		color, st := coloring.Speculative(g)
+	}
+
+	var buf bytes.Buffer
+	buf.WriteString(header)
+	var color []int32
+	if w.Machine == "spec" {
+		var st coloring.Stats
+		color, st = coloring.Speculative(g)
 		fmt.Fprintln(&buf, "machine=host(speculative rounds)")
 		printStats(&buf, st)
-		if err := validate(&buf, color); err != nil {
-			return err
-		}
-		out = buf.Bytes()
-	default: // seq
-		var buf bytes.Buffer
-		buf.WriteString(header)
-		color := coloring.Sequential(g)
+	} else { // seq
+		color = coloring.Sequential(g)
 		max := int32(-1)
 		for _, c := range color {
 			if c > max {
@@ -309,26 +375,19 @@ func (rc *runCtx) runColoring() error {
 			}
 		}
 		fmt.Fprintf(&buf, "machine=sequential(first-fit)\ncolors: %d\n", max+1)
-		if err := validate(&buf, color); err != nil {
-			return err
-		}
-		out = buf.Bytes()
 	}
-
-	if _, err := o.Stdout.Write(out); err != nil {
+	if err := validate(&buf, color); err != nil {
 		return err
 	}
-	rc.record("stdout", "", out)
-	return nil
+	return rc.finish(buf.Bytes(), true)
 }
 
 // runListrank is cmd/listrank's execution body. The stdout artifact is
 // recorded only for the simulated machines — native and seq print wall
-// clock, which no manifest can promise to reproduce.
+// clock.
 func (rc *runCtx) runListrank() error {
-	sp, o := rc.sp, rc.o
+	sp := rc.sp
 	w := &sp.Workload
-	cache := rc.workloadCache()
 
 	lay := list.Random
 	switch w.Layout {
@@ -338,15 +397,10 @@ func (rc *runCtx) runListrank() error {
 		lay = list.Clustered
 	}
 	lKey := sweep.ListKey(w.N, lay.String(), sp.Run.Seed)
-	l, err := sweep.GetAs(cache, lKey,
+	l, err := sweep.GetAs(rc.workloadCache(), lKey,
 		func() (*list.List, error) { return list.New(w.N, lay, sp.Run.Seed), nil })
 	if err != nil {
 		return err
-	}
-
-	var rec *trace.Recorder
-	if sp.Output.Trace != "" {
-		rec = &trace.Recorder{}
 	}
 
 	verify := func(buf *bytes.Buffer, rank []int64) error {
@@ -360,119 +414,54 @@ func (rc *runCtx) runListrank() error {
 		return nil
 	}
 
-	var out []byte
-	deterministic := false
 	switch w.Machine {
 	case "mta":
-		deterministic = true
-		out, err = rc.memoWorkload(
+		return rc.simulate(
 			fmt.Sprintf("wl/listrank/mta/p=%d/sched=%s/npw=%d/verify=%t", w.Procs, w.Sched, w.NodesPerWalk, w.Verify),
-			[]string{lKey}, rec, func() ([]byte, error) {
-				var buf bytes.Buffer
-				s := sim.SchedDynamic
-				if w.Sched == "block" {
-					s = sim.SchedBlock
-				}
-				m := mta.New(mta.DefaultConfig(w.Procs))
-				m.SetHostWorkers(sp.Run.Workers)
-				if o.RegionTrace {
-					m.EnableTrace()
-				}
-				if rec != nil {
-					m.SetSink(rec)
-				}
-				rank := listrank.RankMTA(l, m, w.N/w.NodesPerWalk, s)
+			[]string{lKey}, func(buf *bytes.Buffer, rec *trace.Recorder) error {
+				m := rc.newMTA(rec)
+				rank := listrank.RankMTA(l, m, w.N/w.NodesPerWalk, schedOf(w))
 				st := m.Stats()
-				fmt.Fprintf(&buf, "machine=MTA p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
-				fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
-				fmt.Fprintf(&buf, "utilization: %.1f%%  refs=%d instrs=%d regions=%d barriers=%d\n",
+				fmt.Fprintf(buf, "machine=MTA p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
+				fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
+				fmt.Fprintf(buf, "utilization: %.1f%%  refs=%d instrs=%d regions=%d barriers=%d\n",
 					m.Utilization()*100, st.Refs, st.Instrs, st.Regions, st.Barriers)
-				if o.RegionTrace {
-					m.WriteTrace(&buf)
+				if rc.o.RegionTrace {
+					m.WriteTrace(buf)
 				}
-				if err := verify(&buf, rank); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
+				return verify(buf, rank)
 			})
-		if err != nil {
-			return err
-		}
-		if err := rc.traceArtifacts(rec); err != nil {
-			return err
-		}
 	case "smp":
-		deterministic = true
-		out, err = rc.memoWorkload(
+		return rc.simulate(
 			fmt.Sprintf("wl/listrank/smp/p=%d/sublists=%d/seed=%d/verify=%t", w.Procs, w.Sublists, sp.Run.Seed, w.Verify),
-			[]string{lKey}, rec, func() ([]byte, error) {
-				var buf bytes.Buffer
-				m := smp.New(smp.DefaultConfig(w.Procs))
-				m.SetHostWorkers(sp.Run.Workers)
-				if o.RegionTrace {
-					m.EnableTrace()
-				}
-				if rec != nil {
-					m.SetSink(rec)
-				}
+			[]string{lKey}, func(buf *bytes.Buffer, rec *trace.Recorder) error {
+				m := rc.newSMP(rec)
 				rank := listrank.RankSMP(l, m, w.Sublists*w.Procs, sp.Run.Seed^0xfeed)
-				st := m.Stats()
-				total := st.L1Hits + st.L2Hits + st.Misses
-				fmt.Fprintf(&buf, "machine=SMP p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
-				fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
-				fmt.Fprintf(&buf, "refs=%d  L1 %.1f%%  L2 %.1f%%  mem %.1f%%  barriers=%d\n",
-					total,
-					100*float64(st.L1Hits)/float64(total),
-					100*float64(st.L2Hits)/float64(total),
-					100*float64(st.Misses)/float64(total),
-					st.Barriers)
-				if o.RegionTrace {
-					m.WriteTrace(&buf)
+				fmt.Fprintf(buf, "machine=SMP p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
+				fmt.Fprintf(buf, "simulated: %.6f s (%.0f cycles at %.0f MHz)\n", m.Seconds(), m.Cycles(), m.Config().ClockMHz)
+				writeSMPRefs(buf, m.Stats())
+				if rc.o.RegionTrace {
+					m.WriteTrace(buf)
 				}
-				if err := verify(&buf, rank); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
+				return verify(buf, rank)
 			})
-		if err != nil {
-			return err
-		}
-		if err := rc.traceArtifacts(rec); err != nil {
-			return err
-		}
-	case "native":
-		var buf bytes.Buffer
-		start := time.Now()
-		rank := listrank.HelmanJaja(l, w.Procs)
-		fmt.Fprintf(&buf, "machine=native(goroutines) p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
-		fmt.Fprintf(&buf, "wall clock: %.6f s\n", time.Since(start).Seconds())
-		if err := verify(&buf, rank); err != nil {
-			return err
-		}
-		out = buf.Bytes()
-	default: // seq
-		var buf bytes.Buffer
-		start := time.Now()
-		rank := listrank.Sequential(l)
-		fmt.Fprintf(&buf, "machine=sequential n=%d layout=%s\n", w.N, lay)
-		fmt.Fprintf(&buf, "wall clock: %.6f s\n", time.Since(start).Seconds())
-		if err := verify(&buf, rank); err != nil {
-			return err
-		}
-		out = buf.Bytes()
 	}
 
-	if _, err := o.Stdout.Write(out); err != nil {
+	var buf bytes.Buffer
+	var rank []int64
+	start := time.Now()
+	if w.Machine == "native" {
+		rank = listrank.HelmanJaja(l, w.Procs)
+		fmt.Fprintf(&buf, "machine=native(goroutines) p=%d n=%d layout=%s\n", w.Procs, w.N, lay)
+	} else { // seq
+		rank = listrank.Sequential(l)
+		fmt.Fprintf(&buf, "machine=sequential n=%d layout=%s\n", w.N, lay)
+	}
+	fmt.Fprintf(&buf, "wall clock: %.6f s\n", time.Since(start).Seconds())
+	if err := verify(&buf, rank); err != nil {
 		return err
 	}
-	if deterministic {
-		rc.record("stdout", "", out)
-	} else {
-		// Wall-clock output: retained for collected runs (a served job's
-		// client still wants it) but never promised by a manifest.
-		rc.keep("stdout", "", out)
-	}
-	return nil
+	return rc.finish(buf.Bytes(), false)
 }
 
 // runConcomp is cmd/concomp's execution body. As with listrank, only
@@ -500,20 +489,15 @@ func (rc *runCtx) runConcomp() error {
 		}
 	}
 
-	var rec *trace.Recorder
-	if sp.Output.Trace != "" {
-		rec = &trace.Recorder{}
-	}
-
 	header := fmt.Sprintf("graph: %s n=%d m=%d\n", w.Gen, g.N, g.M())
 	reference := func() ([]int32, error) {
 		return sweep.GetAs(cache, sweep.UnionFindKey(gKey), func() ([]int32, error) {
 			return concomp.UnionFind(g), nil
 		})
 	}
-	// finish appends the component count and the verification trailer
+	// trailer appends the component count and the verification line
 	// every machine shares.
-	finish := func(buf *bytes.Buffer, labels []int32) error {
+	trailer := func(buf *bytes.Buffer, labels []int32) error {
 		fmt.Fprintf(buf, "components: %d\n", graph.CountComponents(labels))
 		if !w.Verify {
 			return nil
@@ -529,11 +513,8 @@ func (rc *runCtx) runConcomp() error {
 		return nil
 	}
 
-	var out []byte
-	deterministic := false
 	switch w.Machine {
 	case "mta", "mta-star", "smp":
-		deterministic = true
 		inputs := []string{gKey}
 		if w.Verify {
 			// Resolve the union-find reference before consulting the
@@ -544,102 +525,51 @@ func (rc *runCtx) runConcomp() error {
 			}
 			inputs = append(inputs, sweep.UnionFindKey(gKey))
 		}
-		out, err = rc.memoWorkload(
+		return rc.simulate(
 			fmt.Sprintf("wl/concomp/%s/p=%d/verify=%t", w.Machine, w.Procs, w.Verify),
-			inputs, rec, func() ([]byte, error) {
-				var buf bytes.Buffer
+			inputs, func(buf *bytes.Buffer, rec *trace.Recorder) error {
 				buf.WriteString(header)
 				var labels []int32
-				if w.Machine == "smp" {
-					sm := smp.New(smp.DefaultConfig(w.Procs))
-					sm.SetHostWorkers(sp.Run.Workers)
-					if rec != nil {
-						sm.SetSink(rec)
-					}
-					labels = concomp.LabelSMP(g, sm)
-					st := sm.Stats()
-					total := st.L1Hits + st.L2Hits + st.Misses
-					fmt.Fprintf(&buf, "machine=SMP p=%d\n", w.Procs)
-					fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles)\n", sm.Seconds(), sm.Cycles())
-					fmt.Fprintf(&buf, "refs=%d  L1 %.1f%%  L2 %.1f%%  mem %.1f%%  barriers=%d\n",
-						total,
-						100*float64(st.L1Hits)/float64(total),
-						100*float64(st.L2Hits)/float64(total),
-						100*float64(st.Misses)/float64(total),
-						st.Barriers)
-				} else {
-					mm := mta.New(mta.DefaultConfig(w.Procs))
-					mm.SetHostWorkers(sp.Run.Workers)
-					if rec != nil {
-						mm.SetSink(rec)
-					}
-					if w.Machine == "mta" {
-						labels = concomp.LabelMTA(g, mm, sim.SchedDynamic)
-					} else {
-						labels = concomp.LabelMTAStarCheck(g, mm, sim.SchedDynamic)
-					}
-					st := mm.Stats()
-					fmt.Fprintf(&buf, "machine=%s p=%d\n", w.Machine, w.Procs)
-					fmt.Fprintf(&buf, "simulated: %.6f s (%.0f cycles)\n", mm.Seconds(), mm.Cycles())
-					fmt.Fprintf(&buf, "utilization: %.1f%%  refs=%d regions=%d barriers=%d\n",
-						mm.Utilization()*100, st.Refs, st.Regions, st.Barriers)
+				switch w.Machine {
+				case "smp":
+					m := rc.newSMP(rec)
+					labels = concomp.LabelSMP(g, m)
+					writeGraphSMP(buf, m)
+				case "mta":
+					m := rc.newMTA(rec)
+					labels = concomp.LabelMTA(g, m, sim.SchedDynamic)
+					writeGraphMTA(buf, w.Machine, m)
+				default: // mta-star
+					m := rc.newMTA(rec)
+					labels = concomp.LabelMTAStarCheck(g, m, sim.SchedDynamic)
+					writeGraphMTA(buf, w.Machine, m)
 				}
-				if err := finish(&buf, labels); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
+				return trailer(buf, labels)
 			})
-		if err != nil {
-			return err
-		}
-		if err := rc.traceArtifacts(rec); err != nil {
-			return err
-		}
-	default:
-		var buf bytes.Buffer
-		buf.WriteString(header)
-		var labels []int32
-		switch w.Machine {
-		case "native":
-			start := time.Now()
-			labels = concomp.SV(g, w.Procs)
-			fmt.Fprintf(&buf, "machine=native(goroutines,SV) p=%d wall=%.6f s\n", w.Procs, time.Since(start).Seconds())
-		case "as":
-			start := time.Now()
-			labels = concomp.AwerbuchShiloach(g, w.Procs)
-			fmt.Fprintf(&buf, "machine=native(Awerbuch-Shiloach) p=%d wall=%.6f s\n", w.Procs, time.Since(start).Seconds())
-		case "randmate":
-			start := time.Now()
-			labels = concomp.RandomMate(g, sp.Run.Seed)
-			fmt.Fprintf(&buf, "machine=random-mating wall=%.6f s\n", time.Since(start).Seconds())
-		case "hybrid":
-			start := time.Now()
-			labels = concomp.Hybrid(g, sp.Run.Seed)
-			fmt.Fprintf(&buf, "machine=hybrid(random-mate+graft) wall=%.6f s\n", time.Since(start).Seconds())
-		case "seq":
-			start := time.Now()
-			labels = concomp.UnionFind(g)
-			fmt.Fprintf(&buf, "machine=sequential(union-find) wall=%.6f s\n", time.Since(start).Seconds())
-		default: // bfs
-			start := time.Now()
-			labels = concomp.BFS(g)
-			fmt.Fprintf(&buf, "machine=sequential(BFS) wall=%.6f s\n", time.Since(start).Seconds())
-		}
-		if err := finish(&buf, labels); err != nil {
-			return err
-		}
-		out = buf.Bytes()
 	}
 
-	if _, err := o.Stdout.Write(out); err != nil {
+	var buf bytes.Buffer
+	buf.WriteString(header)
+	var labels []int32
+	var name string
+	start := time.Now()
+	switch w.Machine {
+	case "native":
+		labels, name = concomp.SV(g, w.Procs), fmt.Sprintf("native(goroutines,SV) p=%d", w.Procs)
+	case "as":
+		labels, name = concomp.AwerbuchShiloach(g, w.Procs), fmt.Sprintf("native(Awerbuch-Shiloach) p=%d", w.Procs)
+	case "randmate":
+		labels, name = concomp.RandomMate(g, sp.Run.Seed), "random-mating"
+	case "hybrid":
+		labels, name = concomp.Hybrid(g, sp.Run.Seed), "hybrid(random-mate+graft)"
+	case "seq":
+		labels, name = concomp.UnionFind(g), "sequential(union-find)"
+	default: // bfs
+		labels, name = concomp.BFS(g), "sequential(BFS)"
+	}
+	fmt.Fprintf(&buf, "machine=%s wall=%.6f s\n", name, time.Since(start).Seconds())
+	if err := trailer(&buf, labels); err != nil {
 		return err
 	}
-	if deterministic {
-		rc.record("stdout", "", out)
-	} else {
-		// Wall-clock output: retained for collected runs (a served job's
-		// client still wants it) but never promised by a manifest.
-		rc.keep("stdout", "", out)
-	}
-	return nil
+	return rc.finish(buf.Bytes(), false)
 }

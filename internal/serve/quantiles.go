@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -54,14 +55,19 @@ func (r *reservoir) quantiles(qs []float64) ([]float64, int64) {
 	}
 	sort.Float64s(sorted)
 	for i, q := range qs {
-		k := int(q*float64(len(sorted))+0.5) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= len(sorted) {
-			k = len(sorted) - 1
-		}
-		out[i] = sorted[k]
+		out[i] = sorted[nearestRank(q, len(sorted))]
 	}
 	return out, seen
+}
+
+// nearestRank returns the 0-based index of the q-quantile among n
+// sorted samples: the smallest rank r with r >= q*n, less one. A
+// product within rounding error of an integer (0.95*20) counts as that
+// integer, so float noise cannot push the rank one sample up.
+func nearestRank(q float64, n int) int {
+	x := q * float64(n)
+	if r := math.Round(x); math.Abs(x-r) < 1e-9 {
+		x = r
+	}
+	return min(max(int(math.Ceil(x))-1, 0), n-1)
 }

@@ -78,7 +78,6 @@ type Server struct {
 	input, result diskcache.Stats // summed over finished jobs
 	cellsComputed int64
 	cellsCached   int64
-	durBuckets    []int64 // cumulative-style histogram counts per bucket edge, +Inf last
 	durCount      int64
 	durSum        float64
 	active        int // jobs executing right now
@@ -90,10 +89,6 @@ type Server struct {
 	jobDur  *reservoir
 	cellDur *reservoir
 }
-
-// durEdges are the job wall-clock histogram bucket upper bounds in
-// seconds; an implicit +Inf bucket follows.
-var durEdges = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 
 // jobSpec is a job's payload: the validated spec plus its content hash
 // (kept so pending jobs can report it before a manifest exists).
@@ -114,10 +109,9 @@ func New(cfg Config) *Server {
 		cfg.MaxRequestBytes = 1 << 20
 	}
 	s := &Server{
-		cfg:        cfg,
-		durBuckets: make([]int64, len(durEdges)+1),
-		jobDur:     newReservoir(1024, 1),
-		cellDur:    newReservoir(4096, 2),
+		cfg:     cfg,
+		jobDur:  newReservoir(1024, 1),
+		cellDur: newReservoir(4096, 2),
 	}
 	s.queue = jobqueue.New(cfg.Concurrency, cfg.Retain, s.runJob)
 
@@ -185,14 +179,6 @@ func (s *Server) observe(d time.Duration, res *runner.Result) {
 	s.jobDur.add(sec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := len(durEdges)
-	for j, edge := range durEdges {
-		if sec <= edge {
-			i = j
-			break
-		}
-	}
-	s.durBuckets[i]++
 	s.durCount++
 	s.durSum += sec
 	if res == nil {
@@ -455,7 +441,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	input, result := s.input, s.result
 	computed, cached := s.cellsComputed, s.cellsCached
-	buckets := append([]int64(nil), s.durBuckets...)
 	count, sum := s.durCount, s.durSum
 	peak := s.activePeak
 	s.mu.Unlock()
@@ -482,12 +467,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "cache_%s_read_bytes_total %d\n", cs.name, cs.st.BytesRead)
 		fmt.Fprintf(&b, "cache_%s_written_bytes_total %d\n", cs.name, cs.st.BytesWritten)
 	}
-	cum := int64(0)
-	for i, edge := range durEdges {
-		cum += buckets[i]
-		fmt.Fprintf(&b, "job_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", edge), cum)
-	}
-	fmt.Fprintf(&b, "job_seconds_bucket{le=\"+Inf\"} %d\n", count)
 	fmt.Fprintf(&b, "job_seconds_count %d\n", count)
 	fmt.Fprintf(&b, "job_seconds_sum %.6f\n", sum)
 	// Percentiles from the bounded reservoirs: job wall clock and

@@ -277,11 +277,16 @@ func TestMetricsAndHealth(t *testing.T) {
 		"cells_computed_total",
 		"cache_result_puts_total",
 		"job_seconds_count 1",
-		`job_seconds_bucket{le="+Inf"} 1`,
+		`job_seconds{quantile="0.5"} `,
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("metrics missing %q\n%s", line, text)
 		}
+	}
+	// Job latency has one representation: count, sum and the reservoir
+	// quantiles, no fixed-bucket histogram beside them.
+	if strings.Contains(text, "job_seconds_bucket") {
+		t.Errorf("metrics still carry a job_seconds histogram\n%s", text)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

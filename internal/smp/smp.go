@@ -326,8 +326,8 @@ func (m *Machine) SetHostWorkers(w int) {
 
 // autoMinProcs is auto mode's serial cutoff: a phase shards one host
 // task per simulated processor, so with only a couple of processors the
-// fork/join cost per phase cannot be amortized (the mid-size sweeps in
-// BENCH_simulators.json ran below 1x there).
+// fork/join cost per phase cannot be amortized (the mid-size
+// host-scaling sweeps ran below 1x there).
 const autoMinProcs = 4
 
 // effectiveWorkers caps a requested host worker count at the parallelism

@@ -5,9 +5,9 @@
 #   go build -ldflags "-X pargraph/internal/cmdutil.Commit=$(sh scripts/version.sh)"
 #
 # This is the one place the repo shells out to git for provenance: the
-# Makefile and the bench scripts stamp the value once per invocation and
-# everything downstream (manifests, BENCH_*.json metas, cmd output)
-# reads the stamped cmdutil.Version instead of re-asking git.
+# Makefile stamps the value once per invocation and everything
+# downstream (manifests, cmd output) reads the stamped cmdutil.Version
+# instead of re-asking git.
 set -eu
 
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
