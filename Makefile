@@ -37,7 +37,8 @@ check-sweep-scaling:
 	sh scripts/check_sweep_scaling.sh
 
 # Fail if the fig1 sweep run as shards 0..N-1 and merged by shardmerge
-# is not byte-identical to the unsharded run, for N in {2, 4}.
+# is not byte-identical to the unsharded run (report and trace file, for
+# N in {2, 4}), or if merged -summary -csv shards differ from unsharded.
 check-shard-equivalence:
 	sh scripts/check_shard_equivalence.sh
 

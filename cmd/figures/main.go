@@ -30,12 +30,13 @@
 //
 // Sweeps can be sharded across processes and their generated inputs
 // persisted in a content-addressed cache (see cmd/shardmerge and
-// scripts/shard_run.sh):
+// scripts/shard_run.sh). Each shard prints a partial envelope; the merge
+// renders whatever the shards' flags name, in any format:
 //
-//	figures -fig 1 -json -shard 0/4 -cache-dir /tmp/pgc > part0.json
-//	figures -fig 1 -json -shard 1/4 -cache-dir /tmp/pgc > part1.json
+//	figures -fig 1 -csv -shard 0/4 -cache-dir /tmp/pgc > part0.json
+//	figures -fig 1 -csv -shard 1/4 -cache-dir /tmp/pgc > part1.json
 //	...
-//	shardmerge -json - part*.json   # byte-identical to the unsharded -json
+//	shardmerge part*.json   # byte-identical to the unsharded -fig 1 -csv
 package main
 
 import (
@@ -68,12 +69,11 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "experiment cells run concurrently per sweep (0 = NumCPU); results are identical for any value")
 		traceOut = flag.String("trace", "", "record every simulated machine's attribution trace and write Chrome trace JSON to this file")
 		attrOut  = flag.String("attr", "", "with tracing, also write the per-region attribution as CSV to this file")
-		shardS   = flag.String("shard", "", "run only the experiment cells of shard i/N (e.g. 0/4) and emit a partial-result envelope for cmd/shardmerge; requires -json")
+		shardS   = flag.String("shard", "", "run only the experiment cells of shard i/N (e.g. 0/4) and emit a partial-result envelope for cmd/shardmerge")
 		cacheDir = flag.String("cache-dir", "", "persist generated inputs and whole sweep-cell results in a content-addressed cache at this directory (default $"+cmdutil.CacheEnv+"; empty = off)")
 		noResult = flag.Bool("no-result-cache", false, "with a cache attached, keep the input cache but disable whole-result memoization")
 		cacheSt  = flag.Bool("cache-stats", false, "print input- and result-cache hit/miss/byte counters to stderr after the run")
 		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the cache directory's size; least-recently-used entries are pruned on overflow (0 = unbounded)")
-		withTr   = flag.Bool("withtrace", false, "with -shard, carry this shard's trace events in the partial so shardmerge can render -trace/-attr")
 		manifest = flag.String("emit-manifest", "", "write a reproducibility manifest (spec hash, input keys, artifact hashes) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a Go CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a Go heap profile at exit to this file")
@@ -128,9 +128,6 @@ func main() {
 	if jsonSet && csvSet {
 		log.Fatal("choose one of -json and -csv")
 	}
-	if *withTr && sp.Run.Shard == "" {
-		log.Fatal("-withtrace only applies to -shard runs")
-	}
 	if err := sp.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -151,7 +148,6 @@ func main() {
 
 	opts := runner.Options{
 		Interrupt:     ctx,
-		WithTrace:     *withTr,
 		NoResultCache: *noResult,
 		CacheStats:    *cacheSt,
 		CacheMaxBytes: *cacheMax,

@@ -18,11 +18,12 @@
 //
 // With -machine both, the two machines can run as separate shard
 // processes whose partials cmd/shardmerge reassembles into the exact
-// unsharded output:
+// unsharded output. The shards take the output flags (-attr, -timeline,
+// -trace) and the merge renders what they name:
 //
-//	profile -kernel fig1 -shard 0/2 -cache-dir /tmp/pgc > part0.json
-//	profile -kernel fig1 -shard 1/2 -cache-dir /tmp/pgc > part1.json
-//	shardmerge part0.json part1.json
+//	profile -kernel fig1 -attr csv -trace t.json -shard 0/2 > part0.json
+//	profile -kernel fig1 -attr csv -trace t.json -shard 1/2 > part1.json
+//	shardmerge part0.json part1.json   # stdout, and t.json
 package main
 
 import (

@@ -1,28 +1,20 @@
 // Command shardmerge reassembles a sharded experiment run. Each shard
 // process (cmd/figures or cmd/profile with -shard i/N) emits a partial
-// JSON envelope holding its zero-slotted results and, when requested,
-// its cells' trace events; shardmerge validates that the partials form
-// one complete shard set, merges them slot-wise, and renders the same
-// artifacts the unsharded command would have written — byte for byte.
+// JSON envelope holding its zero-slotted results, its manifest (the
+// canonical spec plus input content keys) and, when the spec names a
+// trace or attribution file, its cells' trace events. shardmerge checks
+// that the partials form one complete shard set of one spec on one
+// input set, merges them slot-wise, and renders exactly the artifacts
+// the unsharded command would have written — stdout and files, byte
+// for byte — from the spec the shards carry. The output is chosen by
+// the shards' own flags, not by shardmerge's:
 //
-// Figure partials:
+//	figures -fig 1 -json -trace t.json -shard 0/2 > part0.json
+//	figures -fig 1 -json -trace t.json -shard 1/2 > part1.json
+//	shardmerge part0.json part1.json > merged.json   # and t.json
 //
-//	shardmerge part0.json part1.json              # merged report JSON on stdout
-//	shardmerge -json merged.json part*.json
-//	shardmerge -csv merged.csv part*.json         # fig1/fig2/table1 CSVs
-//	shardmerge -trace t.json -attr a.csv part*.json   # needs -withtrace shards
-//
-// Profile partials (from cmd/profile -shard) reproduce that command's
-// stdout — run headers, attribution, optional timeline — plus -trace:
-//
-//	shardmerge part0.json part1.json
-//	shardmerge -attrfmt csv -timeline 20000 -trace t.json part*.json
-//
-// When the shards ran with -emit-manifest, their partials embed
-// per-shard reproducibility manifests; -manifest merges them (failing
-// loudly if the shards disagree on the spec or any input's content),
-// renders the artifacts the embedded spec names, and writes a merged
-// manifest byte-identical to an unsharded run's:
+// -manifest also writes the merged manifest, byte-identical to the one
+// the unsharded run writes with -emit-manifest:
 //
 //	shardmerge -manifest merged.manifest.json part*.json
 package main
@@ -30,8 +22,6 @@ package main
 import (
 	"bufio"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"os"
 
@@ -42,15 +32,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("shardmerge: ")
-	var (
-		jsonOut  = flag.String("json", "", "write the merged report as JSON to this file (\"-\" = stdout)")
-		csvOut   = flag.String("csv", "", "write the merged figure/table results as CSV to this file (\"-\" = stdout)")
-		traceOut = flag.String("trace", "", "write the merged Chrome trace JSON to this file (shards must have run with -withtrace)")
-		attrOut  = flag.String("attr", "", "write the merged per-region attribution as CSV to this file")
-		attrFmt  = flag.String("attrfmt", "table", "profile partials: attribution format on stdout (table, csv, json, or none)")
-		timeline = flag.Float64("timeline", 0, "profile partials: print a utilization timeline with this bucket width in cycles (0 = off)")
-		maniOut  = flag.String("manifest", "", "merge the shards' embedded manifests, render the embedded spec's artifacts, and write the merged manifest to this file (shards must have run with -emit-manifest)")
-	)
+	maniOut := flag.String("manifest", "", "also write the merged reproducibility manifest to this file")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		log.Fatal("no partial files given")
@@ -70,133 +52,7 @@ func main() {
 		parts = append(parts, p)
 	}
 
-	if *maniOut != "" {
-		if *jsonOut != "" || *csvOut != "" || *traceOut != "" || *attrOut != "" || *attrFmt != "table" || *timeline != 0 {
-			log.Fatal("-manifest renders the artifacts the embedded spec names; it cannot be combined with -json/-csv/-trace/-attr/-attrfmt/-timeline")
-		}
-		if err := runner.MergeWithManifest(parts, *maniOut, runner.Options{}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	m, err := harness.MergePartials(parts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	switch {
-	case m.Profile != nil:
-		renderProfile(m, *attrFmt, *timeline, *traceOut)
-	case m.Report != nil:
-		renderReport(m, *jsonOut, *csvOut, *traceOut, *attrOut)
-	default:
-		log.Fatal("partials carry neither a report nor a profile")
-	}
-}
-
-// renderReport writes the artifacts cmd/figures would have produced.
-func renderReport(m *harness.Merged, jsonOut, csvOut, traceOut, attrOut string) {
-	if (traceOut != "" || attrOut != "") && m.Trace == nil {
-		log.Fatal("partials carry no trace events; rerun the shards with -withtrace")
-	}
-	if jsonOut == "" && csvOut == "" && traceOut == "" && attrOut == "" {
-		jsonOut = "-"
-	}
-	if jsonOut != "" {
-		writeTo(jsonOut, m.Report.WriteJSON)
-	}
-	if csvOut != "" {
-		writeTo(csvOut, func(w io.Writer) error {
-			// The same render order cmd/figures uses with -csv.
-			if m.Report.Fig1 != nil {
-				if err := m.Report.Fig1.WriteCSV(w); err != nil {
-					return err
-				}
-			}
-			if m.Report.Fig2 != nil {
-				if err := m.Report.Fig2.WriteCSV(w); err != nil {
-					return err
-				}
-			}
-			if m.Report.Table1 != nil {
-				if err := m.Report.Table1.WriteCSV(w); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if traceOut != "" {
-		writeTo(traceOut, m.Trace.WriteChromeTrace)
-	}
-	if attrOut != "" {
-		writeTo(attrOut, m.Trace.WriteAttributionCSV)
-	}
-}
-
-// renderProfile reproduces cmd/profile's unsharded stdout flow.
-func renderProfile(m *harness.Merged, attrFmt string, timeline float64, traceOut string) {
-	res := m.Profile
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	for _, run := range res.Runs {
-		fmt.Fprintf(out, "%s %s n=%d p=%d: %.0f cycles (%.6f s), %d trace events\n",
-			run.Machine, res.Params.Kernel, res.Params.N, res.Params.Procs, run.Cycles, run.Seconds, run.Events)
-	}
-	fmt.Fprintln(out)
-
-	switch attrFmt {
-	case "table":
-		res.Recorder.WriteAttribution(out)
-	case "csv":
-		if err := res.Recorder.WriteAttributionCSV(out); err != nil {
-			log.Fatal(err)
-		}
-	case "json":
-		if err := res.Recorder.WriteAttributionJSON(out); err != nil {
-			log.Fatal(err)
-		}
-	case "none":
-	default:
-		log.Fatalf("unknown attribution format %q (want table, csv, json, or none)", attrFmt)
-	}
-
-	if timeline > 0 {
-		res.Recorder.WriteTimeline(out, timeline)
-	}
-
-	if traceOut != "" {
-		writeTo(traceOut, res.Recorder.WriteChromeTrace)
-	}
-}
-
-// writeTo renders into a file path, with "-" meaning stdout.
-func writeTo(path string, render func(io.Writer) error) {
-	if path == "-" {
-		w := bufio.NewWriter(os.Stdout)
-		if err := render(w); err != nil {
-			log.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := render(bw); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := runner.Merge(parts, *maniOut, runner.Options{}); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -119,27 +119,6 @@ func TestCheckGraphGen(t *testing.T) {
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	if sh, err := ParseShard(""); err != nil || sh.Active() {
-		t.Errorf("ParseShard(\"\") = %v, %v; want inactive shard", sh, err)
-	}
-	good := map[string][2]int{
-		"0/1": {0, 1}, "0/2": {0, 2}, "1/2": {1, 2}, "3/4": {3, 4}, "7/16": {7, 16},
-	}
-	for s, want := range good {
-		sh, err := ParseShard(s)
-		if err != nil || sh.Index != want[0] || sh.Count != want[1] {
-			t.Errorf("ParseShard(%q) = %v, %v; want %d/%d", s, sh, err, want[0], want[1])
-		}
-	}
-	bad := []string{"1", "/", "a/b", "1/0", "-1/2", "2/2", "3/2", "0/-4", "0/2/3", "0 / 2"}
-	for _, s := range bad {
-		if _, err := ParseShard(s); err == nil {
-			t.Errorf("ParseShard(%q): accepted", s)
-		}
-	}
-}
-
 func TestOpenCache(t *testing.T) {
 	t.Setenv(CacheEnv, "")
 	if s, err := OpenCache("", "test-schema"); err != nil || s != nil {

@@ -23,11 +23,11 @@ import (
 // other shard's value, and two differing non-zero values mean the
 // shards disagreed on something structural — a loud error, never a
 // silent preference. The only cross-cell derivation, Summarize, is
-// deferred to merge time (Partial.Summary). The cells themselves are
-// shard-independent — each owns its machines and shares inputs
-// read-only — so a merged report is byte-identical to an unsharded run,
-// the same determinism contract the in-process scheduler pins for any
-// -jobs value.
+// left to the caller, which applies it to the merged report. The cells
+// themselves are shard-independent — each owns its machines and shares
+// inputs read-only — so a merged report is byte-identical to an
+// unsharded run, the same determinism contract the in-process
+// scheduler pins for any -jobs value.
 
 // InputSchema is the diskcache schema salt for harness inputs. Bump it
 // whenever the meaning of a cache key or the encoding of a cached value
@@ -35,9 +35,10 @@ import (
 // caches can never leak between incompatible versions.
 const InputSchema = "pargraph-inputs-v1"
 
-// PartialSchema versions the shard-partial envelope. cmd/shardmerge
-// refuses partials written under any other version.
-const PartialSchema = "pargraph-partial-v1"
+// PartialSchema versions the shard-partial envelope. ReadPartial
+// refuses partials written under any other version; every v2 partial
+// embeds its shard's manifest.
+const PartialSchema = "pargraph-partial-v2"
 
 // CellTrace is one cell's recorded event stream, tagged with its sweep
 // sequence number (the order of runSweep calls within the run — the
@@ -51,9 +52,9 @@ type CellTrace struct {
 	Events []trace.Event `json:"events"`
 }
 
-// PartialTraceLog collects CellTraces across a run's sweeps. The cmds
-// install one (PartialTraces) when a shard run needs to carry its trace
-// to the merge; runSweep appends every owned, non-empty cell stream.
+// PartialTraceLog collects CellTraces across a run's sweeps. The runner
+// installs one (Env.PartialTraces) when a shard run needs to carry its
+// trace to the merge; runSweep appends every owned, non-empty cell stream.
 type PartialTraceLog struct {
 	mu     sync.Mutex
 	sweeps int
@@ -92,23 +93,20 @@ type ProfilePartial struct {
 }
 
 // Partial is the JSON envelope one shard process emits: which shard it
-// was, its zero-slotted results, and (when requested) its cells' traces.
+// was, its zero-slotted results, its cells' traces (when the run
+// renders a trace), and its manifest.
 type Partial struct {
-	Schema string      `json:"schema"`
-	Shard  sweep.Shard `json:"shard"`
-	// Summary records that the run wants the §5 headline ratios, which
-	// derive from every fig1/fig2 cell and so can only be computed once
-	// the shards are merged.
-	Summary bool            `json:"summary,omitempty"`
+	Schema  string          `json:"schema"`
+	Shard   sweep.Shard     `json:"shard"`
 	Report  *Report         `json:"report,omitempty"`
 	Profile *ProfilePartial `json:"profile,omitempty"`
 	Trace   []CellTrace     `json:"trace,omitempty"`
-	// Manifest, when the shard ran under -emit-manifest, is the shard's
-	// reproducibility manifest (internal/manifest JSON, inputs only —
-	// artifacts are rendered at merge time). It travels inside the
-	// envelope, which is itself never a hashed artifact, so there is no
-	// self-reference; cmd/shardmerge merges the shard manifests and
-	// fails loudly when they disagree on the spec or any input.
+	// Manifest is the shard's reproducibility manifest (internal/manifest
+	// JSON: the canonical spec and input keys; artifacts are rendered at
+	// merge time). It travels inside the envelope, which is itself never
+	// a hashed artifact, so there is no self-reference. The merge takes
+	// the spec to render from it and fails loudly when the shards
+	// disagree on the spec or any input.
 	Manifest json.RawMessage `json:"manifest,omitempty"`
 }
 
@@ -137,7 +135,7 @@ type Merged struct {
 	Report  *Report
 	Profile *ProfileResult
 	// Trace is the reassembled whole-run event stream — what an
-	// unsharded run's TraceSink would hold. Nil when no shard carried
+	// unsharded run's TraceSink would hold. Empty when no shard carried
 	// traces.
 	Trace *trace.Recorder
 }
@@ -145,9 +143,7 @@ type Merged struct {
 // MergePartials reassembles one run from its complete shard set. The
 // set must be exactly one partial per shard index of a single count;
 // results merge slot-wise ("non-zero wins", differing non-zero values
-// are an error), traces reassemble in (sweep, cell) order, and the
-// summary — if any shard requested it — is computed here from the
-// merged figures.
+// are an error) and traces reassemble in (sweep, cell) order.
 func MergePartials(parts []*Partial) (*Merged, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("harness: no shard partials to merge")
@@ -175,9 +171,7 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 	}
 
 	m := &Merged{}
-	var summary bool
 	for _, p := range byIndex {
-		summary = summary || p.Summary
 		if p.Report != nil {
 			if m.Report == nil {
 				m.Report = &Report{}
@@ -202,39 +196,23 @@ func MergePartials(parts []*Partial) (*Merged, error) {
 	for _, p := range byIndex {
 		cells = append(cells, p.Trace...)
 	}
-	if len(cells) > 0 {
-		sort.Slice(cells, func(a, b int) bool {
-			if cells[a].Sweep != cells[b].Sweep {
-				return cells[a].Sweep < cells[b].Sweep
-			}
-			return cells[a].Cell < cells[b].Cell
-		})
-		for i := 1; i < len(cells); i++ {
-			if cells[i].Sweep == cells[i-1].Sweep && cells[i].Cell == cells[i-1].Cell {
-				return nil, fmt.Errorf("harness: two shards both traced sweep %d cell %d", cells[i].Sweep, cells[i].Cell)
-			}
+	sort.Slice(cells, func(a, b int) bool {
+		if cells[a].Sweep != cells[b].Sweep {
+			return cells[a].Sweep < cells[b].Sweep
 		}
-		m.Trace = &trace.Recorder{}
-		for _, ct := range cells {
-			m.Trace.Events = append(m.Trace.Events, ct.Events...)
+		return cells[a].Cell < cells[b].Cell
+	})
+	for i := 1; i < len(cells); i++ {
+		if cells[i].Sweep == cells[i-1].Sweep && cells[i].Cell == cells[i-1].Cell {
+			return nil, fmt.Errorf("harness: two shards both traced sweep %d cell %d", cells[i].Sweep, cells[i].Cell)
 		}
+	}
+	m.Trace = &trace.Recorder{}
+	for _, ct := range cells {
+		m.Trace.Events = append(m.Trace.Events, ct.Events...)
 	}
 	if m.Profile != nil {
 		m.Profile.Recorder = m.Trace
-		if m.Profile.Recorder == nil {
-			m.Profile.Recorder = &trace.Recorder{}
-		}
-	}
-
-	if summary {
-		if m.Report == nil || m.Report.Fig1 == nil || m.Report.Fig2 == nil {
-			return nil, fmt.Errorf("harness: partials request a summary but the merged report lacks fig1/fig2")
-		}
-		sum, err := Summarize(m.Report.Fig1, m.Report.Fig2)
-		if err != nil {
-			return nil, err
-		}
-		m.Report.Summary = sum
 	}
 	return m, nil
 }

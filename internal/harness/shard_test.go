@@ -113,19 +113,13 @@ func chromeTrace(t *testing.T, rec *trace.Recorder) []byte {
 
 // TestShardMergeByteIdentical is the sharding contract end to end: for
 // shard counts 2 and 4, the merged report JSON, figure CSV, and
-// reassembled Chrome trace equal the unsharded run's byte for byte,
-// and the merge-time summary equals the unsharded Summarize.
+// reassembled Chrome trace equal the unsharded run's byte for byte.
 func TestShardMergeByteIdentical(t *testing.T) {
 	// Unsharded baseline, tracing into a sink as cmd/figures -trace does.
 	baseRec := &trace.Recorder{}
 	baseEnv := shardEnv(sweep.Shard{}, nil, nil)
 	baseEnv.TraceSink = baseRec
 	baseline := runSuite(t, baseEnv)
-	sum, err := Summarize(baseline.Fig1, baseline.Fig2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline.Summary = sum
 	wantJSON := reportJSON(t, baseline)
 	wantTrace := chromeTrace(t, baseRec)
 	var wantCSV bytes.Buffer
@@ -140,7 +134,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			tlog := &PartialTraceLog{}
 			rep := runSuite(t, shardEnv(sh, tlog, nil))
 			parts = append(parts, roundTrip(t, &Partial{
-				Schema: PartialSchema, Shard: sh, Summary: true,
+				Schema: PartialSchema, Shard: sh,
 				Report: rep, Trace: tlog.Take(),
 			}))
 		}
@@ -158,7 +152,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
 			t.Fatalf("count=%d: merged fig1 CSV differs from unsharded", count)
 		}
-		if m.Trace == nil {
+		if len(m.Trace.Events) == 0 {
 			t.Fatalf("count=%d: merged run lost its trace", count)
 		}
 		if got := chromeTrace(t, m.Trace); !bytes.Equal(got, wantTrace) {
@@ -283,13 +277,6 @@ func TestMergeRejectsBadSets(t *testing.T) {
 	_, err := MergePartials([]*Partial{a, b})
 	if err == nil || !strings.Contains(err.Error(), "disagree") {
 		t.Fatalf("conflicting shards merged: %v", err)
-	}
-
-	// Summary requested but figures absent.
-	c, d := mk(0, 2), mk(1, 2)
-	c.Summary = true
-	if _, err := MergePartials([]*Partial{c, d}); err == nil {
-		t.Fatal("summary without figures merged")
 	}
 }
 

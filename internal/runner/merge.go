@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -10,14 +9,16 @@ import (
 	"pargraph/internal/spec"
 )
 
-// MergeWithManifest is cmd/shardmerge's -manifest path: merge the
-// shards' embedded manifests (failing loudly on spec-hash or
-// input-content disagreement), merge the partials, render the
-// artifacts named by the embedded spec exactly as the unsharded run
-// would have, and write the merged manifest to manifestPath. Because
-// the canonical spec excludes sharding, the merged manifest is
-// byte-identical to the one an unsharded run of the same spec emits.
-func MergeWithManifest(parts []*harness.Partial, manifestPath string, o Options) error {
+// Merge reassembles a sharded run (cmd/shardmerge): it merges the
+// shards' embedded manifests, failing loudly when they disagree on the
+// spec hash or on any input's content, merges the partials slot-wise,
+// and renders the embedded spec's artifacts through the same
+// writeFigures/writeProfile an unsharded run uses, so the merged
+// bytes equal the unsharded bytes by construction. When manifestPath is
+// non-empty it also writes the merged manifest there; the canonical
+// spec excludes sharding, so that manifest is byte-identical to the
+// one an unsharded run of the same spec emits.
+func Merge(parts []*harness.Partial, manifestPath string, o Options) error {
 	if o.Stdout == nil {
 		o.Stdout = os.Stdout
 	}
@@ -28,11 +29,11 @@ func MergeWithManifest(parts []*harness.Partial, manifestPath string, o Options)
 	shards := make([]*manifest.Manifest, len(parts))
 	for i, p := range parts {
 		if len(p.Manifest) == 0 {
-			return fmt.Errorf("shard %d carries no manifest; rerun the shards with -emit-manifest", i)
+			return fmt.Errorf("shard %s carries no manifest", p.Shard)
 		}
 		m, err := manifest.Decode(p.Manifest)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return fmt.Errorf("shard %s: %w", p.Shard, err)
 		}
 		shards[i] = m
 	}
@@ -55,30 +56,15 @@ func MergeWithManifest(parts []*harness.Partial, manifestPath string, o Options)
 
 	rc := &runCtx{sp: sp, o: &o, mlog: &manifest.Log{}}
 	switch {
-	case merged.Report != nil:
-		var buf bytes.Buffer
-		if err := merged.Report.WriteJSON(&buf); err != nil {
-			return err
-		}
-		if sp.Output.Report != "" {
-			if err := writeFile(sp.Output.Report, buf.Bytes()); err != nil {
-				return err
-			}
-		} else if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		rc.record("report", sp.Output.Report, buf.Bytes())
-	case merged.Profile != nil:
-		buf, err := profileStdout(merged.Profile, sp.Profile.Attr, sp.Profile.Timeline)
-		if err != nil {
-			return err
-		}
-		if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		rc.record("stdout", "", buf.Bytes())
+	case sp.Run.Command == spec.CmdFigures && merged.Report != nil:
+		err = rc.writeFigures(merged.Report, merged.Trace)
+	case sp.Run.Command == spec.CmdProfile && merged.Profile != nil:
+		err = rc.writeProfile(merged.Profile)
 	default:
-		return fmt.Errorf("partials carry neither a report nor a profile")
+		err = fmt.Errorf("partials carry no %s result", sp.Run.Command)
+	}
+	if err != nil || manifestPath == "" {
+		return err
 	}
 
 	mm.Artifacts = rc.arts

@@ -12,9 +12,10 @@ import (
 // cycle-attribution tracing, with the attribution (and optionally a
 // utilization timeline) on stdout and a Chrome trace as a file
 // artifact. Sharded runs (-machine both split across processes) emit a
-// partial envelope carrying the event streams instead.
+// partial envelope carrying the event streams instead; Merge renders the
+// merged partials through the same writeProfile.
 func (rc *runCtx) runProfile() error {
-	sp, o := rc.sp, rc.o
+	sp := rc.sp
 	p := &sp.Profile
 
 	layout := list.Random
@@ -32,23 +33,44 @@ func (rc *runCtx) runProfile() error {
 	}
 
 	if rc.env.Shard.Active() {
-		part := &harness.Partial{
-			Schema:  harness.PartialSchema,
-			Shard:   rc.env.Shard,
+		return rc.writePartial(&harness.Partial{
 			Profile: &harness.ProfilePartial{Params: res.Params, Runs: res.Runs},
-			Trace:   rc.env.PartialTraces.Take(),
-		}
-		if part.Manifest, err = rc.shardManifestJSON(); err != nil {
+		})
+	}
+	return rc.writeProfile(res)
+}
+
+// writeProfile renders a complete profile result — from one process or
+// merged from shards — the way cmd/profile prints it: run headers, the
+// attribution in the spec's format and an optional utilization
+// timeline on stdout, then the Chrome trace file the spec names.
+func (rc *runCtx) writeProfile(res *harness.ProfileResult) error {
+	sp, p := rc.sp, &rc.sp.Profile
+	var buf bytes.Buffer
+	for _, run := range res.Runs {
+		fmt.Fprintf(&buf, "%s %s n=%d p=%d: %.0f cycles (%.6f s), %d trace events\n",
+			run.Machine, res.Params.Kernel, res.Params.N, res.Params.Procs, run.Cycles, run.Seconds, run.Events)
+	}
+	fmt.Fprintln(&buf)
+
+	switch p.Attr {
+	case "table":
+		res.Recorder.WriteAttribution(&buf)
+	case "csv":
+		if err := res.Recorder.WriteAttributionCSV(&buf); err != nil {
 			return err
 		}
-		return part.WriteJSON(o.Stdout)
+	case "json":
+		if err := res.Recorder.WriteAttributionJSON(&buf); err != nil {
+			return err
+		}
+	case "none":
 	}
 
-	buf, err := profileStdout(res, p.Attr, p.Timeline)
-	if err != nil {
-		return err
+	if p.Timeline > 0 {
+		res.Recorder.WriteTimeline(&buf, p.Timeline)
 	}
-	if _, err := o.Stdout.Write(buf.Bytes()); err != nil {
+	if _, err := rc.o.Stdout.Write(buf.Bytes()); err != nil {
 		return err
 	}
 	rc.record("stdout", "", buf.Bytes())
@@ -64,36 +86,4 @@ func (rc *runCtx) runProfile() error {
 		}
 	}
 	return nil
-}
-
-// profileStdout renders a complete profile result the way cmd/profile
-// prints it: run headers, the attribution in the requested format, and
-// an optional utilization timeline. Shared by the unsharded run path
-// and the post-merge rendering, so both produce identical bytes.
-func profileStdout(res *harness.ProfileResult, attr string, timeline float64) (*bytes.Buffer, error) {
-	var buf bytes.Buffer
-	for _, run := range res.Runs {
-		fmt.Fprintf(&buf, "%s %s n=%d p=%d: %.0f cycles (%.6f s), %d trace events\n",
-			run.Machine, res.Params.Kernel, res.Params.N, res.Params.Procs, run.Cycles, run.Seconds, run.Events)
-	}
-	fmt.Fprintln(&buf)
-
-	switch attr {
-	case "table":
-		res.Recorder.WriteAttribution(&buf)
-	case "csv":
-		if err := res.Recorder.WriteAttributionCSV(&buf); err != nil {
-			return nil, err
-		}
-	case "json":
-		if err := res.Recorder.WriteAttributionJSON(&buf); err != nil {
-			return nil, err
-		}
-	case "none":
-	}
-
-	if timeline > 0 {
-		res.Recorder.WriteTimeline(&buf, timeline)
-	}
-	return &buf, nil
 }

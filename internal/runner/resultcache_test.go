@@ -323,7 +323,7 @@ func TestResultCacheDeterminismAcrossJobsAndShards(t *testing.T) {
 		}
 		merged := filepath.Join(dir, fmt.Sprintf("rmerged-%d.json", count))
 		var mergedOut bytes.Buffer
-		if err := MergeWithManifest(parts, merged, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
+		if err := Merge(parts, merged, Options{Stdout: &mergedOut, Stderr: io.Discard}); err != nil {
 			t.Fatalf("merging %d shards: %v", count, err)
 		}
 		if !bytes.Equal(mergedOut.Bytes(), want.Bytes()) {

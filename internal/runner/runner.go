@@ -10,8 +10,9 @@
 // -emit-manifest), the runner records every input the run resolves
 // (through the sweep cache's hook) and every artifact it writes, and
 // emits a reproducibility manifest (internal/manifest). Sharded runs
-// embed their manifest in the partial envelope for cmd/shardmerge to
-// merge instead of writing a file.
+// always embed their manifest in the partial envelope instead of
+// writing a file; Merge checks the shards against each other with it
+// and renders the merged run from its spec.
 package runner
 
 import (
@@ -25,6 +26,7 @@ import (
 	"pargraph/internal/harness"
 	"pargraph/internal/manifest"
 	"pargraph/internal/spec"
+	"pargraph/internal/sweep"
 )
 
 // Options carries the execution extras that live outside the spec:
@@ -32,11 +34,6 @@ import (
 type Options struct {
 	Stdout io.Writer // defaults to os.Stdout
 	Stderr io.Writer // defaults to os.Stderr
-
-	// WithTrace makes a sharded figures run carry its cells' traces in
-	// the partial envelope (cmd/figures -withtrace), so cmd/shardmerge
-	// can render -trace/-attr for the whole run.
-	WithTrace bool
 
 	// RegionTrace prints the per-region execution trace on stdout for
 	// listrank's simulated machines (cmd/listrank -trace). It changes
@@ -170,7 +167,7 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 		env.Interrupt = ctx
 	}
 
-	shard, err := cmdutil.ParseShard(sp.Run.Shard)
+	shard, err := sweep.ParseShard(sp.Run.Shard)
 	if err != nil {
 		return nil, err
 	}
@@ -212,12 +209,17 @@ func run(ctx context.Context, sp *spec.Spec, o Options, collect bool) (*Result, 
 	}
 
 	rc := &runCtx{sp: sp, o: &o, collect: collect, env: env}
-	if sp.Output.Manifest != "" || collect {
+	// Shards always log their inputs: the manifest they embed is what
+	// lets the merge check that every shard ran one spec on one input set.
+	if sp.Output.Manifest != "" || collect || shard.Active() {
 		rc.mlog = &manifest.Log{}
 		env.InputHook = rc.mlog.Add
 		env.ResultHook = rc.mlog.AddResult
 	}
-	if shard.Active() && (sp.Run.Command == spec.CmdProfile || o.WithTrace) {
+	// A shard carries its cells' traces whenever the merged run renders
+	// one: every profile (its stdout attribution comes from the events)
+	// and any figures run that names a trace or attribution file.
+	if shard.Active() && (sp.Run.Command == spec.CmdProfile || sp.Output.Trace != "" || sp.Output.Attr != "") {
 		env.PartialTraces = &harness.PartialTraceLog{}
 	}
 
@@ -348,17 +350,23 @@ func (rc *runCtx) buildManifest() (*manifest.Manifest, error) {
 	return m, nil
 }
 
-// shardManifestJSON renders the shard's manifest for embedding in the
-// partial envelope; nil when no manifest was requested.
-func (rc *runCtx) shardManifestJSON() ([]byte, error) {
-	if rc.mlog == nil {
-		return nil, nil
+// writePartial completes a shard's partial envelope — its shard
+// identity, its cells' traces, and its manifest — and writes it to
+// stdout in place of the run's artifacts.
+func (rc *runCtx) writePartial(p *harness.Partial) error {
+	p.Schema = harness.PartialSchema
+	p.Shard = rc.env.Shard
+	if rc.env.PartialTraces != nil {
+		p.Trace = rc.env.PartialTraces.Take()
 	}
 	m, err := rc.buildManifest()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return m.Encode()
+	if p.Manifest, err = m.Encode(); err != nil {
+		return err
+	}
+	return p.WriteJSON(rc.o.Stdout)
 }
 
 // writeFile writes rendered artifact bytes to path.

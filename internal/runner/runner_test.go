@@ -100,7 +100,7 @@ func TestMergedShardManifestMatchesUnsharded(t *testing.T) {
 			parts = append(parts, p)
 		}
 		merged := filepath.Join(dir, fmt.Sprintf("merged-%d.json", count))
-		if err := MergeWithManifest(parts, merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
+		if err := Merge(parts, merged, Options{Stdout: io.Discard, Stderr: io.Discard}); err != nil {
 			t.Fatalf("merging %d shards: %v", count, err)
 		}
 		got, err := os.ReadFile(merged)

@@ -18,10 +18,10 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"pargraph/internal/cmdutil"
+	"pargraph/internal/sweep"
 )
 
 // Commands the spec system drives.
@@ -195,30 +195,6 @@ func axis(key string, vals []int) error {
 	return nil
 }
 
-// checkShard validates an "i/N" shard string (empty = unsharded).
-func checkShard(s string) error {
-	bad := fmt.Errorf("spec: [run] shard must look like i/N (e.g. 0/4), got %q", s)
-	if s == "" {
-		return nil
-	}
-	idxS, cntS, ok := strings.Cut(s, "/")
-	if !ok {
-		return bad
-	}
-	idx, err1 := strconv.Atoi(idxS)
-	cnt, err2 := strconv.Atoi(cntS)
-	if err1 != nil || err2 != nil {
-		return bad
-	}
-	if cnt < 1 {
-		return fmt.Errorf("spec: [run] shard count must be >= 1, got %d", cnt)
-	}
-	if idx < 0 || idx >= cnt {
-		return fmt.Errorf("spec: [run] shard index must satisfy 0 <= i < %d, got %d", cnt, idx)
-	}
-	return nil
-}
-
 // Validate checks ranges and cross-field consistency, clamping the
 // fields documented as clamping (sample, timeline, sublists,
 // nodes_per_walk) and rejecting everything else with a one-line error.
@@ -238,8 +214,8 @@ func (s *Spec) Validate() error {
 	if r.Jobs < 0 {
 		return fmt.Errorf("spec: [run] jobs must be >= 0 (0 = one per host CPU), got %d", r.Jobs)
 	}
-	if err := checkShard(r.Shard); err != nil {
-		return err
+	if _, err := sweep.ParseShard(r.Shard); err != nil {
+		return fmt.Errorf("spec: [run] %w", err)
 	}
 	sharded := r.Command == CmdFigures || r.Command == CmdProfile
 	if r.Shard != "" && !sharded {
@@ -281,9 +257,6 @@ func (s *Spec) Validate() error {
 	if s.Output.Attr != "" && r.Command != CmdFigures && r.Command != CmdColoring {
 		return fmt.Errorf("spec: [output] attr does not apply to command %q", r.Command)
 	}
-	if r.Shard != "" && (s.Output.Trace != "" || s.Output.Attr != "") {
-		return fmt.Errorf("spec: [output] trace/attr are rendered by shardmerge from the merged partials; remove them from sharded runs")
-	}
 	return nil
 }
 
@@ -312,9 +285,6 @@ func (s *Spec) validateFigures() error {
 	}
 	if err := axis("edge_factors", f.EdgeFactors); err != nil {
 		return err
-	}
-	if s.Run.Shard != "" && f.Format != "json" {
-		return fmt.Errorf("spec: [run] shard emits a partial-result envelope; set [figures] format = \"json\"")
 	}
 	return nil
 }

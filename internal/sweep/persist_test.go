@@ -126,6 +126,46 @@ func TestDiskBackedBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestParseShard: "i/N" strings parse to their shard, the empty string
+// is the unsharded run, and every malformed or out-of-range string is
+// refused with an error naming the rule it broke.
+func TestParseShard(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    Shard
+		wantErr string
+	}{
+		{"", Shard{}, ""},
+		{"0/1", Shard{Index: 0, Count: 1}, ""},
+		{"0/2", Shard{Index: 0, Count: 2}, ""},
+		{"1/2", Shard{Index: 1, Count: 2}, ""},
+		{"3/4", Shard{Index: 3, Count: 4}, ""},
+		{"7/16", Shard{Index: 7, Count: 16}, ""},
+		{"1", Shard{}, `shard must look like i/N (e.g. 0/4), got "1"`},
+		{"/", Shard{}, `shard must look like i/N (e.g. 0/4), got "/"`},
+		{"a/b", Shard{}, `shard must look like i/N (e.g. 0/4), got "a/b"`},
+		{"0/2/3", Shard{}, `shard must look like i/N (e.g. 0/4), got "0/2/3"`},
+		{"0 / 2", Shard{}, `shard must look like i/N (e.g. 0/4), got "0 / 2"`},
+		{"1/0", Shard{}, "shard count must be >= 1, got 0"},
+		{"0/-4", Shard{}, "shard count must be >= 1, got -4"},
+		{"-1/2", Shard{}, "shard index must satisfy 0 <= i < 2, got -1"},
+		{"2/2", Shard{}, "shard index must satisfy 0 <= i < 2, got 2"},
+		{"3/2", Shard{}, "shard index must satisfy 0 <= i < 2, got 3"},
+	}
+	for _, tc := range cases {
+		got, err := ParseShard(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseShard(%q) error = %v, want %q", tc.in, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseShard(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestShardOwns(t *testing.T) {
 	cases := []struct {
 		s    Shard

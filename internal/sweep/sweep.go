@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -48,6 +50,29 @@ func (s Shard) Active() bool { return s.Count >= 2 }
 func (s Shard) Owns(i int) bool { return !s.Active() || i%s.Count == s.Index }
 
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
+
+// ParseShard parses a shard string of the form "i/N" (own the cells
+// with index ≡ i mod N). The empty string is the unsharded run, and i
+// must satisfy 0 <= i < N. Errors carry no prefix; callers name the
+// flag or spec key they parsed.
+func ParseShard(s string) (Shard, error) {
+	if s == "" {
+		return Shard{}, nil
+	}
+	idxS, cntS, ok := strings.Cut(s, "/")
+	idx, err1 := strconv.Atoi(idxS)
+	cnt, err2 := strconv.Atoi(cntS)
+	if !ok || err1 != nil || err2 != nil {
+		return Shard{}, fmt.Errorf("shard must look like i/N (e.g. 0/4), got %q", s)
+	}
+	if cnt < 1 {
+		return Shard{}, fmt.Errorf("shard count must be >= 1, got %d", cnt)
+	}
+	if idx < 0 || idx >= cnt {
+		return Shard{}, fmt.Errorf("shard index must satisfy 0 <= i < %d, got %d", cnt, idx)
+	}
+	return Shard{Index: idx, Count: cnt}, nil
+}
 
 // PanicError is the error Run reports for a cell whose function
 // panicked: the panic is confined to its cell (other cells still run to

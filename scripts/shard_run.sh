@@ -3,7 +3,7 @@
 # into N shard processes sharing a persistent content-addressed input
 # cache, runs them concurrently, and merges their partial envelopes with
 # cmd/shardmerge into the exact JSON the unsharded run would have
-# written. The shards deduplicate generation through the shared cache:
+# written (plus any -trace/-attr files the figures args name). The shards deduplicate generation through the shared cache:
 # the first process to need an input builds and persists it, the rest
 # read it back.
 #
@@ -56,5 +56,5 @@ if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
 
-"$workdir/shardmerge" -json "$out" "$workdir"/part*.json
+"$workdir/shardmerge" "$workdir"/part*.json >"$out"
 echo "shard_run: merged $n shards into $out"
